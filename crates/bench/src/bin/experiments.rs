@@ -60,11 +60,11 @@ fn main() {
         return;
     }
     // Serve smoke for CI: every backend through the full serving
-    // lifecycle (install v2 → query → hot-swap to v3 → query → admission
-    // batch) with bit-identical answers on every path.
+    // lifecycle (install → query → hot swap → query → admission batch)
+    // with bit-identical answers on every path.
     if smoke && args.iter().any(|a| a == "serve") {
         println!("{}", e13_smoke(24, E11_SEED));
-        println!("smoke ok: v2/v3/batched answers identical through hot swaps");
+        println!("smoke ok: installed/swapped/batched answers identical through hot swaps");
         return;
     }
     // Dynamic smoke for CI: every backend × delta kind through repair
@@ -201,7 +201,7 @@ fn main() {
     }
     if want("serve") {
         // Headline rows at n = 4096 (the BENCH_oracle.json cold-start
-        // evidence for the v3 arena layout) only on request: the
+        // evidence for the arena snapshot layout) only on request: the
         // distributed builds take minutes. `serve headline` runs just
         // those rows.
         if args.iter().any(|a| a == "headline") {

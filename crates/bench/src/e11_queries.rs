@@ -13,7 +13,7 @@
 //! that every backend's batch path agrees with its scalar `estimate` and
 //! is identical across thread counts).
 
-use crate::table::{f, Table};
+use crate::table::{f, fnv1a, median, Table};
 use crate::workloads;
 use graphs::NodeId;
 use oracle::{Backend, DistanceOracle, Oracle, OracleBuilder};
@@ -91,19 +91,6 @@ pub fn e11_pairs(n: usize, count: usize, seed: u64) -> Vec<(NodeId, NodeId)> {
             (NodeId(u), NodeId(v))
         })
         .collect()
-}
-
-fn fnv1a(values: &[u64]) -> u64 {
-    let mut digest = crate::table::Fnv1a::new();
-    for &x in values {
-        digest.mix(x);
-    }
-    digest.finish()
-}
-
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_unstable_by(f64::total_cmp);
-    xs[xs.len() / 2]
 }
 
 /// Builds one backend on the canonical E11 workload.

@@ -12,7 +12,7 @@
 //! asserts Native == Simulated canonical artifact bytes and query
 //! digests for all 8 backends at threads ∈ {1, 4}).
 
-use crate::table::{f, Fnv1a, Table};
+use crate::table::{f, median, Fnv1a, Table};
 use crate::workloads;
 use graphs::NodeId;
 use oracle::{Backend, BuildMode, DistanceOracle, Oracle, OracleBuilder};
@@ -54,11 +54,6 @@ fn digest_bytes(bytes: &[u8]) -> u64 {
     d.finish()
 }
 
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_unstable_by(f64::total_cmp);
-    xs[xs.len() / 2]
-}
-
 fn build(
     backend: Backend,
     g: &graphs::WGraph,
@@ -92,7 +87,7 @@ pub fn e12_run(backend: Backend, n: usize, seed: u64) -> BuildRun {
             times.push(t0.elapsed().as_secs_f64() * 1e3);
             last = Some(o);
         }
-        (median(times), last.expect("E12_RUNS >= 1"))
+        (median(&mut times), last.expect("E12_RUNS >= 1"))
     };
     let (sim_ms, sim) = timed(BuildMode::Simulated, 0);
     let (native_t1_ms, nat1) = timed(BuildMode::Native, 1);

@@ -1,31 +1,30 @@
-//! E13 — the serving front end: cold-start-to-first-answer for v2 vs v3
+//! E13 — the serving front end: cold-start-to-first-answer for
 //! snapshots, and sustained query throughput through
 //! [`serve::OracleServer`].
 //!
-//! Cold start is the number the v3 arena layout exists to shrink: a v2
-//! load re-derives the query-side tables (per-row bucket indexes, the RTC
-//! long-range reduction), while a v3 load validates one checksum and
-//! serves zero-copy views into stored sections. The protocol: build once
-//! on the E11 workload, serialize both versions, `install_shared` each
-//! version [`E13_LOADS`] times into an [`OracleServer`] (decode, install,
-//! one probe query) and record the median. Sustained throughput replays the
-//! E11 batch through [`OracleServer::query`] — lease + counters on top of
-//! the oracle's own batch path — so the serving overhead is visible next
-//! to `BENCH_oracle.json`'s raw numbers. Answer digests are checked
-//! across the v2 → v3 hot swap: the swap must not change a single bit.
+//! Cold start is the number the arena snapshot layout exists to shrink: a
+//! load validates one checksum and serves zero-copy views into stored
+//! sections, re-deriving nothing. The protocol: build once on the E11
+//! workload, serialize, `install_shared` the snapshot [`E13_LOADS`] times
+//! into an [`OracleServer`] (decode, install, one probe query) and record
+//! the median. Sustained throughput replays the E11 batch through
+//! [`OracleServer::query`] — lease + counters on top of the oracle's own
+//! batch path — so the serving overhead is visible next to
+//! `BENCH_oracle.json`'s raw numbers. Answer digests are checked across a
+//! hot swap: the swap must not change a single bit.
 //! Reproduce with
 //! `cargo run --release -p bench --bin experiments -- serve`
 //! (`-- serve headline` for the `BENCH_oracle.json` rows at n = 4096,
 //! `-- serve --smoke` for the CI variant, which additionally pins
 //! admission-batcher answers against direct queries).
 
-use crate::table::{f, Table};
+use crate::table::{f, fnv1a, median, Table};
 use crate::{e11_build, e11_pairs, E11_BATCH};
 use oracle::{Backend, Oracle};
 use serve::{Batcher, OracleServer};
 use std::time::{Duration, Instant};
 
-/// Cold-start installs per snapshot version; the median is recorded.
+/// Cold-start installs per measurement; the median is recorded.
 pub const E13_LOADS: usize = 5;
 
 /// Timed serving sweeps (per run) behind the sustained q/s median.
@@ -38,35 +37,16 @@ pub struct ServeRun {
     pub backend: Backend,
     /// Number of nodes.
     pub n: usize,
-    /// v2 snapshot size in bytes.
-    pub v2_bytes: usize,
-    /// v3 snapshot size in bytes.
-    pub v3_bytes: usize,
-    /// Median v2 cold-start (bytes in memory → first answer), ms.
-    pub v2_cold_ms: f64,
-    /// Median v3 cold-start, ms.
-    pub v3_cold_ms: f64,
-    /// `v2_cold_ms / v3_cold_ms`.
-    pub speedup: f64,
+    /// Snapshot size in bytes.
+    pub bytes: usize,
+    /// Median cold-start (bytes in memory → first answer), ms.
+    pub cold_ms: f64,
     /// Median sustained throughput through `OracleServer::query`, q/s.
     pub qps_served: f64,
     /// FNV-1a digest over the served batch answers — must match across
-    /// the v2 → v3 hot swap (asserted) and `BENCH_oracle.json`'s E11
-    /// digests (same workload).
+    /// the hot swap (asserted) and `BENCH_oracle.json`'s E11 digests
+    /// (same workload).
     pub digest: u64,
-}
-
-fn fnv1a(values: &[u64]) -> u64 {
-    let mut digest = crate::table::Fnv1a::new();
-    for &x in values {
-        digest.mix(x);
-    }
-    digest.finish()
-}
-
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_unstable_by(f64::total_cmp);
-    xs[xs.len() / 2]
 }
 
 /// Runs the canonical E13 measurement for one backend at size `n`:
@@ -80,61 +60,52 @@ pub fn e13_run(backend: Backend, n: usize, seed: u64) -> ServeRun {
 ///
 /// # Panics
 ///
-/// Panics if the v2-served and v3-served answers diverge (the hot swap
-/// must be invisible to queries) or an install fails.
+/// Panics if the answers served before and after a hot swap diverge (the
+/// swap must be invisible to queries) or an install fails.
 pub fn e13_measure(oracle: &Oracle, backend: Backend, n: usize, seed: u64) -> ServeRun {
-    let mut v2 = Vec::new();
-    oracle.save(&mut v2).expect("serialize v2");
-    let mut v3 = Vec::new();
-    oracle.save_v3(&mut v3).expect("serialize v3");
-
-    let (v2_len, v3_len) = (v2.len(), v3.len());
-    let v2 = congest::arena::SharedBytes::from_vec(v2);
-    let v3 = congest::arena::SharedBytes::from_vec(v3);
+    let mut snapshot = Vec::new();
+    oracle.save_v3(&mut snapshot).expect("serialize");
+    let bytes = snapshot.len();
+    let snapshot = congest::arena::SharedBytes::from_vec(snapshot);
 
     let server = OracleServer::new();
-    let cold = |bytes: &congest::arena::SharedBytes| {
-        let mut ms = Vec::with_capacity(E13_LOADS);
-        for _ in 0..E13_LOADS {
-            let report = server
-                .install_shared("cold", bytes.clone())
-                .expect("install snapshot");
-            ms.push(report.cold_start_nanos as f64 / 1e6);
-        }
-        median(&mut ms)
-    };
-    let v2_cold_ms = cold(&v2);
-    let v3_cold_ms = cold(&v3);
+    let mut ms = Vec::with_capacity(E13_LOADS);
+    for _ in 0..E13_LOADS {
+        let report = server
+            .install_shared("cold", snapshot.clone())
+            .expect("install snapshot");
+        ms.push(report.cold_start_nanos as f64 / 1e6);
+    }
+    let cold_ms = median(&mut ms);
     server.remove("cold");
 
-    // Sustained throughput through the server, with the v2 → v3 hot swap
-    // inside the measured path: the digest must not move.
+    // Sustained throughput through the server, with a hot swap inside
+    // the measured path: the digest must not move.
     let name = backend.name();
     let pairs = e11_pairs(n, E11_BATCH, seed);
     let mut out = Vec::new();
-    server.install_shared(name, v2.clone()).expect("install v2");
-    server.query(name, &pairs, &mut out, 1).expect("serve v2");
+    server
+        .install_shared(name, snapshot.clone())
+        .expect("install");
+    server.query(name, &pairs, &mut out, 1).expect("serve");
     let digest = fnv1a(&out);
-    server.install_shared(name, v3.clone()).expect("swap to v3");
+    server.install_shared(name, snapshot).expect("hot swap");
     let mut qps = Vec::with_capacity(E13_SWEEPS);
     for _ in 0..E13_SWEEPS {
         let t = Instant::now();
-        server.query(name, &pairs, &mut out, 1).expect("serve v3");
+        server.query(name, &pairs, &mut out, 1).expect("serve");
         qps.push(pairs.len() as f64 / t.elapsed().as_secs_f64().max(1e-9));
     }
     assert_eq!(
         fnv1a(&out),
         digest,
-        "{backend}: v2 → v3 hot swap changed served answers"
+        "{backend}: hot swap changed served answers"
     );
     ServeRun {
         backend,
         n,
-        v2_bytes: v2_len,
-        v3_bytes: v3_len,
-        v2_cold_ms,
-        v3_cold_ms,
-        speedup: v2_cold_ms / v3_cold_ms.max(1e-9),
+        bytes,
+        cold_ms,
         qps_served: median(&mut qps),
         digest,
     }
@@ -144,11 +115,8 @@ fn push_row(t: &mut Table, r: &ServeRun) {
     t.row(vec![
         r.backend.name().to_string(),
         r.n.to_string(),
-        r.v2_bytes.to_string(),
-        r.v3_bytes.to_string(),
-        f(r.v2_cold_ms),
-        f(r.v3_cold_ms),
-        f(r.speedup),
+        r.bytes.to_string(),
+        f(r.cold_ms),
         f(r.qps_served),
         format!("{:016x}", r.digest),
     ]);
@@ -156,22 +124,11 @@ fn push_row(t: &mut Table, r: &ServeRun) {
 
 /// The E13 table: every backend at the given sizes, plus — when
 /// `headline` is set — the `BENCH_oracle.json` cold-start rows: `n =
-/// 4096` for pde and rtc (the two backends the v3 acceptance bar names),
-/// truncated alongside, and compact at `n = 1024`.
+/// 4096` for pde and rtc, truncated alongside, and compact at `n = 1024`.
 pub fn e13_serve(sizes: &[usize], headline: bool, seed: u64) -> Table {
     let mut t = Table::new(
-        "E13 (serving): v2 vs v3 cold-start and served q/s on unit-weight G(n, ~6/n), k=2",
-        &[
-            "backend",
-            "n",
-            "v2_B",
-            "v3_B",
-            "v2_cold_ms",
-            "v3_cold_ms",
-            "speedup",
-            "served_q/s",
-            "digest",
-        ],
+        "E13 (serving): cold-start and served q/s on unit-weight G(n, ~6/n), k=2",
+        &["backend", "n", "bytes", "cold_ms", "served_q/s", "digest"],
     );
     for &n in sizes {
         for backend in Backend::ALL {
@@ -188,9 +145,9 @@ pub fn e13_serve(sizes: &[usize], headline: bool, seed: u64) -> Table {
 }
 
 /// CI smoke: every backend at a tiny size goes through the full serving
-/// lifecycle — install from v2 bytes, query, hot-swap to v3 bytes, query
-/// again, batch through the admission [`Batcher`] — and every answer path
-/// must agree bit-for-bit.
+/// lifecycle — install from snapshot bytes, query, hot-swap to a second
+/// install of the same bytes, query again, batch through the admission
+/// [`Batcher`] — and every answer path must agree bit-for-bit.
 ///
 /// # Panics
 ///
@@ -198,49 +155,46 @@ pub fn e13_serve(sizes: &[usize], headline: bool, seed: u64) -> Table {
 pub fn e13_smoke(n: usize, seed: u64) -> Table {
     let mut t = Table::new(
         "E13 smoke: install/query/hot-swap/batch identity through OracleServer",
-        &[
-            "backend", "n", "v2_B", "v3_B", "speedup", "digest", "checks",
-        ],
+        &["backend", "n", "bytes", "digest", "checks"],
     );
     let server = OracleServer::new();
     let pairs = e11_pairs(n, 512, seed);
     for backend in Backend::ALL {
         let (oracle, _) = e11_build(backend, n, seed);
-        let mut v2 = Vec::new();
-        oracle.save(&mut v2).unwrap();
-        let mut v3 = Vec::new();
-        oracle.save_v3(&mut v3).unwrap();
+        let mut snapshot = Vec::new();
+        oracle.save_v3(&mut snapshot).unwrap();
 
         let name = backend.name();
-        let r2 = server.install_from_bytes(name, &v2).unwrap();
-        assert_eq!((r2.backend, r2.n), (backend, n), "{backend}: v2 identity");
-        let mut from_v2 = Vec::new();
-        server.query(name, &pairs, &mut from_v2, 1).unwrap();
-
-        let r3 = server.install_from_bytes(name, &v3).unwrap();
-        let replaced = r3.replaced.expect("hot swap must report the retiree");
+        let first = server.install_from_bytes(name, &snapshot).unwrap();
         assert_eq!(
-            replaced.generation, r2.generation,
+            (first.backend, first.n),
+            (backend, n),
+            "{backend}: identity"
+        );
+        let mut before = Vec::new();
+        server.query(name, &pairs, &mut before, 1).unwrap();
+
+        let second = server.install_from_bytes(name, &snapshot).unwrap();
+        let replaced = second.replaced.expect("hot swap must report the retiree");
+        assert_eq!(
+            replaced.generation, first.generation,
             "{backend}: wrong snapshot retired"
         );
-        let mut from_v3 = Vec::new();
-        let generation = server.query(name, &pairs, &mut from_v3, 1).unwrap();
-        assert_eq!(generation, r3.generation, "{backend}: stale lease");
-        assert_eq!(from_v2, from_v3, "{backend}: hot swap changed answers");
+        let mut after = Vec::new();
+        let generation = server.query(name, &pairs, &mut after, 1).unwrap();
+        assert_eq!(generation, second.generation, "{backend}: stale lease");
+        assert_eq!(before, after, "{backend}: hot swap changed answers");
 
         let batcher = Batcher::new(name, Duration::from_millis(1), 1);
         let (batched, _) = batcher.submit(&server, pairs.clone()).unwrap();
-        assert_eq!(batched, from_v3, "{backend}: batcher changed answers");
+        assert_eq!(batched, after, "{backend}: batcher changed answers");
 
-        let speedup = (r2.cold_start_nanos as f64) / (r3.cold_start_nanos.max(1) as f64);
         t.row(vec![
             backend.name().to_string(),
             n.to_string(),
-            v2.len().to_string(),
-            v3.len().to_string(),
-            f(speedup),
-            format!("{:016x}", fnv1a(&from_v3)),
-            "v2=v3=batched through hot swap".into(),
+            snapshot.len().to_string(),
+            format!("{:016x}", fnv1a(&after)),
+            "installed=swapped=batched".into(),
         ]);
     }
     t
@@ -254,9 +208,9 @@ mod tests {
     #[test]
     fn e13_measures_cold_start_and_served_throughput() {
         let r = e13_run(Backend::Flooding, 48, E11_SEED);
-        assert!(r.v2_cold_ms > 0.0 && r.v3_cold_ms > 0.0);
+        assert!(r.cold_ms > 0.0);
         assert!(r.qps_served > 0.0);
-        assert!(r.v3_bytes > 0 && r.v2_bytes > 0);
+        assert!(r.bytes > 0);
     }
 
     #[test]

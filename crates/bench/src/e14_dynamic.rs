@@ -21,7 +21,7 @@
 //! (`-- dynamic headline` for the `BENCH_dynamic.json` rows at
 //! n = 4096, `-- dynamic --smoke` for the CI variant).
 
-use crate::table::{f, Table};
+use crate::table::{f, median, Table};
 use crate::{e11_graph, e11_pairs};
 use graphs::algo::dijkstra;
 use graphs::{GraphDelta, NodeId, WGraph};
@@ -63,11 +63,6 @@ pub struct DynRun {
     /// over the E11 pair sample; 0.0 when not applicable (weight deltas,
     /// topology-free backends).
     pub failover_stretch: f64,
-}
-
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_unstable_by(f64::total_cmp);
-    xs[xs.len() / 2]
 }
 
 /// The canonical delta of each kind on the E14 graph: a weight bump on

@@ -21,7 +21,7 @@
 //! admin op — install-from-file, inline swap, fail/repair — over the
 //! wire).
 
-use crate::table::{f, Table};
+use crate::table::{f, fnv1a, median, Table};
 use crate::{e11_build, e11_graph, e11_pairs, E11_BATCH};
 use congest::NodeId;
 use graphs::GraphDelta;
@@ -72,19 +72,6 @@ pub struct NetRun {
     /// equal to the in-process digest (the E11 digest at the same
     /// workload).
     pub digest: u64,
-}
-
-fn fnv1a(values: &[u64]) -> u64 {
-    let mut digest = crate::table::Fnv1a::new();
-    for &x in values {
-        digest.mix(x);
-    }
-    digest.finish()
-}
-
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_unstable_by(f64::total_cmp);
-    xs[xs.len() / 2]
 }
 
 fn serve_one(backend: Backend, n: usize, seed: u64) -> (NetServer, Arc<OracleServer>, String) {
@@ -280,8 +267,8 @@ pub fn e15_net(sizes: &[usize], headline: bool, seed: u64) -> Table {
 }
 
 /// CI smoke: every backend served over a real loopback socket through
-/// the full lifecycle — inline `Swap` of v2 bytes, query, `Install` of a
-/// v3 file from the server's disk (hot swap), query again, an admission-
+/// the full lifecycle — inline `Swap` of snapshot bytes, query, `Install`
+/// of a snapshot file from the server's disk (hot swap), query again, an admission-
 /// batched query, a shuffled-vs-sorted `EstimateMany` pair (same batch,
 /// both orders, answers pinned pair-for-pair through the permutation and
 /// the repeated frame byte-identical — the grouped server path),
@@ -324,10 +311,10 @@ pub fn e15_smoke(n: usize, seed: u64) -> Table {
         let digest = fnv1a(&expected);
         let name = backend.name();
 
-        // Inline swap of the v2 stream, then query over the socket.
-        let mut v2 = Vec::new();
-        oracle.save(&mut v2).expect("serialize v2");
-        let installed = client.swap(name, &v2).expect("wire swap");
+        // Inline swap of the snapshot bytes, then query over the socket.
+        let mut snapshot = Vec::new();
+        oracle.save_v3(&mut snapshot).expect("serialize");
+        let installed = client.swap(name, &snapshot).expect("wire swap");
         assert_eq!(
             (installed.backend, installed.n as usize),
             (backend, n),
@@ -336,15 +323,17 @@ pub fn e15_smoke(n: usize, seed: u64) -> Table {
         let (ests, g2) = client
             .estimate_many(name, &pairs, false)
             .expect("wire query");
-        assert_eq!(fnv1a(&ests), digest, "{backend}: v2-over-wire diverged");
+        assert_eq!(fnv1a(&ests), digest, "{backend}: swap-over-wire diverged");
         assert_eq!(g2, installed.generation, "{backend}: stale generation");
 
-        // Install a v3 file from the server's disk: the load_path cold
+        // Install a snapshot file from the server's disk: the load_path cold
         // start, arriving as a hot swap. Written atomically — the
         // server must never observe a half-written snapshot.
         let path =
             std::env::temp_dir().join(format!("e15-smoke-{}-{}.snap", std::process::id(), name));
-        oracle.save_path_v3(&path).expect("write v3 temp file");
+        oracle
+            .save_path_v3(&path)
+            .expect("write snapshot temp file");
         let swapped = client
             .install(name, path.to_str().expect("utf-8 temp path"))
             .expect("wire install");
@@ -352,12 +341,16 @@ pub fn e15_smoke(n: usize, seed: u64) -> Table {
         assert_eq!(
             swapped.replaced.map(|(generation, _)| generation),
             Some(installed.generation),
-            "{backend}: install must retire the v2 snapshot"
+            "{backend}: install must retire the swapped snapshot"
         );
         let (ests, g3) = client
             .estimate_many(name, &pairs, false)
             .expect("wire query");
-        assert_eq!(fnv1a(&ests), digest, "{backend}: v3-over-wire diverged");
+        assert_eq!(
+            fnv1a(&ests),
+            digest,
+            "{backend}: install-over-wire diverged"
+        );
         assert_eq!(g3, swapped.generation, "{backend}: stale generation");
 
         // The admission-batched path answers identically.

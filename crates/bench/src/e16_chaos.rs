@@ -27,7 +27,7 @@
 //! kill-mid-traffic replica failover, and WAL recovery identity for
 //! every backend).
 
-use crate::table::{f, Table};
+use crate::table::{f, fnv1a, Table};
 use crate::{e11_build, e11_graph, e11_pairs, e14_delta};
 use net::{
     ChaosPlan, ChaosProxy, Client, NetServer, ReplicaSet, RetryClient, RetryPolicy, ServerConfig,
@@ -76,14 +76,6 @@ pub struct ChaosRun {
     /// FNV-1a digest over the through-proxy batch answers — asserted
     /// equal to the in-process digest.
     pub digest: u64,
-}
-
-fn fnv1a(values: &[u64]) -> u64 {
-    let mut digest = crate::table::Fnv1a::new();
-    for &x in values {
-        digest.mix(x);
-    }
-    digest.finish()
 }
 
 fn quantile(sorted_us: &[f64], q: f64) -> f64 {

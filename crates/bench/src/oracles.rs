@@ -2,7 +2,7 @@
 //! serialized artifact size, stretch percentiles and batch query
 //! throughput for every backend on one graph.
 
-use crate::table::{f, Table};
+use crate::table::{f, median, Table};
 use crate::workloads;
 use graphs::algo::apsp;
 use oracle::{evaluate, Backend, BuildMode, DistanceOracle, Oracle, OracleBuilder, PairSelection};
@@ -91,11 +91,10 @@ fn oracles_table(n: usize, seed: u64, roundtrip: bool) -> Table {
             times.push(t0.elapsed().as_secs_f64() * 1e3);
         }
         let o = built.expect("at least one build");
-        times.sort_unstable_by(f64::total_cmp);
-        let build_ms = times[times.len() / 2];
+        let build_ms = median(&mut times);
         if roundtrip {
             let mut bytes = Vec::new();
-            o.save(&mut bytes).expect("save");
+            o.save_v3(&mut bytes).expect("save");
             let loaded = Oracle::load(&mut &bytes[..]).expect("load");
             let (mut a, mut b) = (Vec::new(), Vec::new());
             o.estimate_many(&queries, &mut a);

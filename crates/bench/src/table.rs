@@ -119,3 +119,22 @@ impl Default for Fnv1a {
         Self::new()
     }
 }
+
+/// FNV-1a digest of an answer vector (the `digest` column of E11–E16).
+pub fn fnv1a(values: &[u64]) -> u64 {
+    let mut digest = Fnv1a::new();
+    for &x in values {
+        digest.mix(x);
+    }
+    digest.finish()
+}
+
+/// Upper median of `xs` (sorts it in place).
+///
+/// # Panics
+///
+/// Panics when `xs` is empty.
+pub fn median(xs: &mut [f64]) -> f64 {
+    xs.sort_unstable_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}

@@ -1,12 +1,14 @@
-//! Aligned, checksummed section containers for v3 zero-copy snapshots.
+//! Aligned, checksummed section containers — the layout of every oracle
+//! snapshot.
 //!
-//! The v2 snapshot streams of [`crate::wire`] are *self-describing
-//! sequences*: every table is a length prefix followed by per-element
+//! A plain wire stream ([`crate::wire`]) is a *self-describing
+//! sequence*: every table is a length prefix followed by per-element
 //! little-endian fields, read back one element at a time through a
 //! `&mut dyn Read`. That shape is robust but slow to load — a 335 MB
-//! routing table costs tens of millions of virtual `read_exact` calls.
+//! routing table costs tens of millions of virtual `read_exact` calls —
+//! so it is kept for small metadata only.
 //!
-//! An **arena** instead lays the same tables out as a flat *directory of
+//! An **arena** instead lays the tables out as a flat *directory of
 //! sections*:
 //!
 //! ```text
@@ -47,7 +49,7 @@
 //!
 //! Truncated containers (buffer shorter than the directory promises) are
 //! reported as the typed [`crate::wire::SnapshotError::Truncated`] wrapped
-//! in `InvalidData`, exactly like a premature EOF in a v2 stream.
+//! in `InvalidData`, exactly like a premature EOF in a wire stream.
 
 use crate::wire::{invalid_data, truncated};
 use std::io::{self, Write};
@@ -741,7 +743,7 @@ mod tests {
         a.stream(|sink| {
             let mut w = crate::wire::WireWriter::new(sink);
             w.u16(99)?;
-            w.f64(0.5)
+            w.u64(5)
         })
         .unwrap();
         let mut buf = Vec::new();
@@ -765,7 +767,7 @@ mod tests {
         let mut s = c.bytes().unwrap();
         let mut w = crate::wire::WireReader::new(&mut s);
         assert_eq!(w.u16().unwrap(), 99);
-        assert_eq!(w.f64().unwrap(), 0.5);
+        assert_eq!(w.u64().unwrap(), 5);
         c.expect_end().unwrap();
     }
 

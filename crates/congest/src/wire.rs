@@ -1,34 +1,18 @@
 //! Little-endian wire helpers for versioned binary snapshots.
 //!
 //! The `oracle` crate persists built distance oracles ("build once, serve
-//! from disk"); every scheme crate encodes its own state with these
-//! helpers so the framing is uniform and handwritten — fixed-width
-//! little-endian integers, `u64` length prefixes for sequences, `f64` as
-//! IEEE-754 bits — with no derive machinery or external dependencies.
+//! from disk") as [`crate::arena`] containers; the small heterogeneous
+//! streams embedded in them (metrics blocks, detection trees), the
+//! `serve` crate's checkpoint and WAL files, and the snapshot header
+//! itself are written with these helpers, so the framing is uniform and
+//! handwritten — fixed-width little-endian integers and `u64` length
+//! prefixes for sequences — with no derive machinery or external
+//! dependencies.
 //!
 //! Corruption is reported as [`std::io::ErrorKind::InvalidData`] via
 //! [`invalid_data`], so callers only deal with `io::Result`.
 
 use std::io::{self, Read, Write};
-
-/// Reads and checks a scheme-record version tag (little-endian `u16` at
-/// the head of a scheme snapshot stream).
-///
-/// # Errors
-///
-/// Returns `InvalidData` when the tag differs from `expected` — notably
-/// for version-1 hash-table-layout streams, which predate the tag and
-/// must be rebuilt rather than migrated.
-pub fn check_record_version(source: &mut dyn Read, expected: u16, what: &str) -> io::Result<()> {
-    let got = WireReader::new(source).u16()?;
-    if got != expected {
-        return Err(invalid_data(format!(
-            "{what} record version {got} unsupported (expected {expected}; \
-             version-1 hash-table snapshots must be rebuilt)"
-        )));
-    }
-    Ok(())
-}
 
 /// Builds the `InvalidData` error used for malformed snapshot bytes.
 pub fn invalid_data(msg: impl Into<String>) -> io::Error {
@@ -135,7 +119,7 @@ pub fn clamped_capacity(len: usize) -> usize {
 // ----------------------------------------------------------- framing --
 
 /// Default upper bound on one length-prefixed frame (256 MiB) — large
-/// enough to carry a v3 snapshot in an admin frame, small enough that a
+/// enough to carry a snapshot in an admin frame, small enough that a
 /// corrupted length prefix cannot request an absurd buffer.
 pub const MAX_FRAME_LEN: usize = 1 << 28;
 
@@ -237,11 +221,6 @@ impl<'a> WireWriter<'a> {
         self.u64(x as u64)
     }
 
-    /// Writes an `f64` as its IEEE-754 bit pattern.
-    pub fn f64(&mut self, x: f64) -> io::Result<()> {
-        self.u64(x.to_bits())
-    }
-
     /// Writes a `bool` as one byte (0/1).
     pub fn bool(&mut self, x: bool) -> io::Result<()> {
         self.u8(u8::from(x))
@@ -250,6 +229,15 @@ impl<'a> WireWriter<'a> {
     /// Writes a sequence length prefix.
     pub fn len(&mut self, n: usize) -> io::Result<()> {
         self.usize(n)
+    }
+
+    /// Writes a length-prefixed `u64` sequence.
+    pub fn u64_seq(&mut self, xs: impl ExactSizeIterator<Item = u64>) -> io::Result<()> {
+        self.len(xs.len())?;
+        for x in xs {
+            self.u64(x)?;
+        }
+        Ok(())
     }
 }
 
@@ -307,20 +295,6 @@ impl<'a> WireReader<'a> {
         usize::try_from(self.u64()?).map_err(|_| invalid_data("length exceeds usize"))
     }
 
-    /// Reads an `f64` from its IEEE-754 bit pattern.
-    pub fn f64(&mut self) -> io::Result<f64> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Reads a `bool` (rejecting bytes other than 0/1).
-    pub fn bool(&mut self) -> io::Result<bool> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            b => Err(invalid_data(format!("invalid bool byte {b}"))),
-        }
-    }
-
     /// Reads a sequence length prefix, rejecting lengths above `max`
     /// (a corrupted prefix must not trigger a huge allocation).
     pub fn len(&mut self, max: usize) -> io::Result<usize> {
@@ -342,35 +316,15 @@ impl<'a> WireReader<'a> {
         }
         usize::try_from(n).map_err(|_| invalid_data("length exceeds usize"))
     }
-}
 
-/// A [`Write`] sink that discards bytes but counts them — used to compute
-/// the serialized size of an artifact without materializing it.
-#[derive(Debug, Default)]
-pub struct CountingWriter {
-    bytes: u64,
-}
-
-impl CountingWriter {
-    /// A fresh counter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Bytes written so far.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-}
-
-impl Write for CountingWriter {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.bytes += buf.len() as u64;
-        Ok(buf.len())
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
+    /// Reads what [`WireWriter::u64_seq`] wrote.
+    pub fn u64_seq(&mut self) -> io::Result<Vec<u64>> {
+        let n = self.len64(MAX_SEQ_LEN)?;
+        let mut xs = Vec::with_capacity(clamped_capacity(n));
+        for _ in 0..n {
+            xs.push(self.u64()?);
+        }
+        Ok(xs)
     }
 }
 
@@ -388,9 +342,6 @@ mod tests {
             w.u32(70_000).unwrap();
             w.u64(u64::MAX - 1).unwrap();
             w.usize(42).unwrap();
-            w.f64(0.25).unwrap();
-            w.bool(true).unwrap();
-            w.bool(false).unwrap();
             w.len(3).unwrap();
             w.bytes(b"abc").unwrap();
         }
@@ -401,9 +352,6 @@ mod tests {
         assert_eq!(r.u32().unwrap(), 70_000);
         assert_eq!(r.u64().unwrap(), u64::MAX - 1);
         assert_eq!(r.usize().unwrap(), 42);
-        assert_eq!(r.f64().unwrap(), 0.25);
-        assert!(r.bool().unwrap());
-        assert!(!r.bool().unwrap());
         assert_eq!(r.len(10).unwrap(), 3);
         assert_eq!(r.bytes(3).unwrap(), b"abc");
         assert!(cursor.is_empty(), "all bytes consumed");
@@ -413,8 +361,6 @@ mod tests {
     fn truncated_input_and_bad_values_error() {
         let mut short = &[1u8, 2][..];
         assert!(WireReader::new(&mut short).u32().is_err());
-        let mut bad_bool = &[9u8][..];
-        assert!(WireReader::new(&mut bad_bool).bool().is_err());
         let mut big_len = Vec::new();
         WireWriter::new(&mut big_len).u64(1 << 40).unwrap();
         let mut cursor = &big_len[..];
@@ -491,16 +437,5 @@ mod tests {
         let err = read_frame(&mut cursor, 64).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(!is_truncated(&err));
-    }
-
-    #[test]
-    fn counting_writer_counts() {
-        let mut c = CountingWriter::new();
-        {
-            let mut w = WireWriter::new(&mut c);
-            w.u64(1).unwrap();
-            w.u8(2).unwrap();
-        }
-        assert_eq!(c.bytes(), 9);
     }
 }

@@ -13,7 +13,7 @@
 //!   near-uniform node-id keys (see [`FlatTables::get`]); "iterate
 //!   everything `v` knows" is a contiguous walk. The arrays live behind
 //!   zero-copy [`congest::arena`] views (entries as packed 16-byte
-//!   little-endian records), so a v3 snapshot load *is* the in-memory
+//!   little-endian records), so a snapshot load *is* the in-memory
 //!   form: no decode pass, no copy.
 //! * [`PairTable`] — a `k × k` partial map in either dense
 //!   (`row * k + col` indexed, [`ABSENT`] sentinel) or row-sorted CSR
@@ -27,9 +27,9 @@
 
 use crate::pde::{RouteInfo, RouteTable};
 use congest::arena::{SharedBytes, U32View};
-use congest::wire::{clamped_capacity, invalid_data, WireReader, WireWriter};
+use congest::wire::invalid_data;
 use congest::{NodeId, Port, Topology};
-use std::io::{self, Read, Write};
+use std::io;
 
 /// Sentinel for "no entry" in dense [`PairTable`] storage (never a valid
 /// stored value: estimates in pair maps are finite and next-hop indices
@@ -140,7 +140,7 @@ impl EntryView {
 /// Per-node routing tables flattened into one source-sorted entry arena
 /// with CSR row offsets — the cache-friendly replacement for
 /// `Vec<RouteTable>` on every query path. Every array is a zero-copy
-/// view: a table decoded from a v3 snapshot keeps pointing into the
+/// view: a table decoded from a snapshot keeps pointing into the
 /// snapshot buffer.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FlatTables {
@@ -353,71 +353,9 @@ impl FlatTables {
         &self.levels
     }
 
-    /// Serializes rows + offsets (already canonical: rows are sorted).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the sink.
-    pub fn write_into(&self, sink: &mut dyn Write) -> io::Result<()> {
-        let mut w = WireWriter::new(sink);
-        w.len(self.len_nodes())?;
-        for v in 0..self.len_nodes() {
-            w.len((self.starts.get(v + 1) - self.starts.get(v)) as usize)?;
-        }
-        for (e, level) in self.entries.iter().zip(self.levels.iter()) {
-            w.u32(e.src)?;
-            w.u64(e.est)?;
-            w.u32(e.port)?;
-            w.u32(level)?;
-        }
-        Ok(())
-    }
-
-    /// Deserializes what [`FlatTables::write_into`] wrote, validating the
-    /// CSR shape and per-row sort order (strictly increasing sources —
-    /// anything else would corrupt binary search and canonical re-save).
-    ///
-    /// # Errors
-    ///
-    /// Returns `InvalidData` on malformed bytes.
-    pub fn read_from(source: &mut dyn Read) -> io::Result<Self> {
-        let mut r = WireReader::new(source);
-        let n = r.len64(congest::wire::MAX_SEQ_LEN)?;
-        let mut starts = Vec::with_capacity(clamped_capacity(n + 1));
-        starts.push(0u32);
-        for _ in 0..n {
-            let row_len = r.len64(congest::wire::MAX_SEQ_LEN)? as u64;
-            let prev = u64::from(*starts.last().expect("starts is never empty"));
-            let next = prev + row_len;
-            starts.push(
-                u32::try_from(next).map_err(|_| invalid_data("flat table offsets overflow"))?,
-            );
-        }
-        let total = *starts.last().expect("starts is never empty") as usize;
-        let mut entries = Vec::with_capacity(clamped_capacity(total));
-        let mut levels = Vec::with_capacity(clamped_capacity(total));
-        for _ in 0..total {
-            let src = r.u32()?;
-            let est = r.u64()?;
-            let port = r.u32()?;
-            levels.push(r.u32()?);
-            entries.push(FlatEntry { src, port, est });
-        }
-        // Sortedness must hold before the bucket index is derived from
-        // the rows (and binary invariants like canonical re-save rely on
-        // it), so check it on the raw data first.
-        for w in starts.windows(2) {
-            let row = &entries[w[0] as usize..w[1] as usize];
-            if row.windows(2).any(|p| p[0].src >= p[1].src) {
-                return Err(invalid_data("flat table row not sorted by source"));
-            }
-        }
-        Ok(FlatTables::from_parts(starts, entries, levels))
-    }
-
-    /// Emits the table into a v3 arena: one typed section per array,
-    /// entries as packed 16-byte records, **including the derived bucket
-    /// index** — a v3 load rebuilds nothing. The sections are the views'
+    /// Emits the table into a snapshot arena: one typed section per
+    /// array, entries as packed 16-byte records, **including the derived
+    /// bucket index** — a load rebuilds nothing. The sections are the views'
     /// backing bytes verbatim, so load → re-save is a passthrough.
     pub fn write_arena(&self, a: &mut congest::arena::ArenaWriter) {
         a.section(self.starts.as_bytes());
@@ -816,110 +754,8 @@ impl PairTable {
         }
     }
 
-    /// Serializes the table, representation tag included.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the sink.
-    pub fn write_into(&self, sink: &mut dyn Write) -> io::Result<()> {
-        let mut w = WireWriter::new(sink);
-        match self {
-            PairTable::Dense { k, values } => {
-                w.u8(0)?;
-                w.usize(*k)?;
-                for &v in values {
-                    w.u64(v)?;
-                }
-            }
-            PairTable::Csr {
-                k,
-                starts,
-                cols,
-                vals,
-            } => {
-                w.u8(1)?;
-                w.usize(*k)?;
-                w.len(cols.len())?;
-                for &s in &starts[1..] {
-                    w.u32(s)?;
-                }
-                for (&c, &v) in cols.iter().zip(vals) {
-                    w.u32(c)?;
-                    w.u64(v)?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Deserializes what [`PairTable::write_into`] wrote, validating
-    /// shape (offsets monotone and bounded, columns sorted and in range).
-    ///
-    /// # Errors
-    ///
-    /// Returns `InvalidData` on malformed bytes.
-    pub fn read_from(source: &mut dyn Read) -> io::Result<Self> {
-        let mut r = WireReader::new(source);
-        let tag = r.u8()?;
-        let k = r.usize()?;
-        if k > congest::wire::MAX_SNAPSHOT_NODES {
-            return Err(invalid_data(format!("pair table claims k = {k}")));
-        }
-        match tag {
-            0 => {
-                let cells = k
-                    .checked_mul(k)
-                    .ok_or_else(|| invalid_data("pair table size overflow"))?;
-                let mut values = Vec::with_capacity(clamped_capacity(cells));
-                for _ in 0..cells {
-                    values.push(r.u64()?);
-                }
-                Ok(PairTable::Dense { k, values })
-            }
-            1 => {
-                let m = r.len(k.saturating_mul(k))?;
-                let mut starts = Vec::with_capacity(clamped_capacity(k + 1));
-                starts.push(0u32);
-                for _ in 0..k {
-                    let s = r.u32()?;
-                    if (s as usize) > m || s < *starts.last().expect("nonempty") {
-                        return Err(invalid_data("pair table offsets inconsistent"));
-                    }
-                    starts.push(s);
-                }
-                if *starts.last().expect("nonempty") as usize != m {
-                    return Err(invalid_data("pair table offsets inconsistent"));
-                }
-                let mut cols = Vec::with_capacity(clamped_capacity(m));
-                let mut vals = Vec::with_capacity(clamped_capacity(m));
-                for _ in 0..m {
-                    let c = r.u32()?;
-                    if c as usize >= k {
-                        return Err(invalid_data("pair table column out of range"));
-                    }
-                    cols.push(c);
-                    vals.push(r.u64()?);
-                }
-                for row in 0..k {
-                    let lo = starts[row] as usize;
-                    let hi = starts[row + 1] as usize;
-                    if cols[lo..hi].windows(2).any(|w| w[0] >= w[1]) {
-                        return Err(invalid_data("pair table row not sorted"));
-                    }
-                }
-                Ok(PairTable::Csr {
-                    k,
-                    starts,
-                    cols,
-                    vals,
-                })
-            }
-            t => Err(invalid_data(format!("unknown pair table tag {t}"))),
-        }
-    }
-
-    /// Emits the table into a v3 arena: a `[tag, k]` meta section, then
-    /// the representation's arrays as typed sections.
+    /// Emits the table into a snapshot arena: a `[tag, k]` meta section,
+    /// then the representation's arrays as typed sections.
     pub fn write_arena(&self, a: &mut congest::arena::ArenaWriter) {
         match self {
             PairTable::Dense { k, values } => {
@@ -940,8 +776,8 @@ impl PairTable {
         }
     }
 
-    /// Reads what [`PairTable::write_arena`] wrote, running the same
-    /// shape validation as [`PairTable::read_from`].
+    /// Reads what [`PairTable::write_arena`] wrote, validating shape
+    /// (offsets monotone and bounded, columns sorted and in range).
     ///
     /// # Errors
     ///
@@ -1037,42 +873,31 @@ mod tests {
         assert_eq!(ft.entry(0), row[0]);
     }
 
-    #[test]
-    fn flat_tables_round_trip_byte_identically() {
-        let ft = FlatTables::from_tables(&sample_tables());
+    /// Round-trips `write` through an arena, returning the container bytes
+    /// and a cursor-driven decode of them.
+    fn arena_round_trip<T>(
+        write: impl Fn(&mut congest::arena::ArenaWriter),
+        read: impl Fn(&mut congest::arena::ArenaCursor<'_>) -> io::Result<T>,
+    ) -> (Vec<u8>, T) {
+        let mut a = congest::arena::ArenaWriter::new();
+        write(&mut a);
         let mut buf = Vec::new();
-        ft.write_into(&mut buf).unwrap();
-        let back = FlatTables::read_from(&mut &buf[..]).unwrap();
-        assert_eq!(ft, back);
-        let mut buf2 = Vec::new();
-        back.write_into(&mut buf2).unwrap();
-        assert_eq!(buf, buf2);
-        assert_eq!(unflatten(&back), sample_tables());
+        a.finish(&mut buf).unwrap();
+        let r = congest::arena::ArenaReader::parse(SharedBytes::from_vec(buf.clone())).unwrap();
+        let mut c = r.cursor();
+        let back = read(&mut c).unwrap();
+        c.expect_end().unwrap();
+        (buf, back)
     }
 
     #[test]
-    fn flat_tables_reject_unsorted_rows() {
+    fn flat_tables_round_trip_byte_identically() {
         let ft = FlatTables::from_tables(&sample_tables());
-        let mut buf = Vec::new();
-        ft.write_into(&mut buf).unwrap();
-        let e3 = FlatEntry {
-            src: 3,
-            port: 1,
-            est: 10,
-        };
-        let e1 = FlatEntry {
-            src: 1,
-            port: 0,
-            est: 7,
-        };
-        let tampered = FlatTables::from_parts(vec![0, 2, 2], vec![e3, e1], vec![0, 2]);
-        let mut bad = Vec::new();
-        tampered.write_into(&mut bad).unwrap();
-        assert!(FlatTables::read_from(&mut &bad[..]).is_err());
-        let sorted = FlatTables::from_parts(vec![0, 2, 2], vec![e1, e3], vec![2, 0]);
-        let mut good = Vec::new();
-        sorted.write_into(&mut good).unwrap();
-        assert!(FlatTables::read_from(&mut &good[..]).is_ok());
+        let (buf, back) = arena_round_trip(|a| ft.write_arena(a), FlatTables::read_arena);
+        assert_eq!(ft, back);
+        let (buf2, _) = arena_round_trip(|a| back.write_arena(a), FlatTables::read_arena);
+        assert_eq!(buf, buf2);
+        assert_eq!(unflatten(&back), sample_tables());
     }
 
     #[test]
@@ -1094,12 +919,9 @@ mod tests {
     fn pair_table_round_trips_both_reps() {
         let entries = &[(0u32, 2u32, 5u64), (1, 0, 9), (1, 3, 2), (3, 3, 7)];
         for t in [PairTable::dense(4, entries), PairTable::csr(4, entries)] {
-            let mut buf = Vec::new();
-            t.write_into(&mut buf).unwrap();
-            let back = PairTable::read_from(&mut &buf[..]).unwrap();
+            let (buf, back) = arena_round_trip(|a| t.write_arena(a), PairTable::read_arena);
             assert_eq!(t, back);
-            let mut buf2 = Vec::new();
-            back.write_into(&mut buf2).unwrap();
+            let (buf2, _) = arena_round_trip(|a| back.write_arena(a), PairTable::read_arena);
             assert_eq!(buf, buf2);
         }
     }

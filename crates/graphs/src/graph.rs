@@ -196,8 +196,9 @@ impl WGraph {
         self.edges.iter().map(|&(_, _, w)| w).sum()
     }
 
-    /// Serializes the graph (node count + canonical edge list) with the
-    /// snapshot wire format of [`congest::wire`].
+    /// Serializes the graph (node count + canonical edge list) as a
+    /// [`congest::wire`] stream — the graph record of the `serve` crate's
+    /// checkpoint files.
     ///
     /// # Errors
     ///
@@ -239,8 +240,8 @@ impl WGraph {
             .map_err(|e| congest::wire::invalid_data(format!("bad graph snapshot: {e}")))
     }
 
-    /// Emits the graph into a v3 arena: a `[n]` meta section plus the
-    /// canonical edge list split SoA (endpoints, weights).
+    /// Emits the graph into a snapshot arena: a `[n]` meta section plus
+    /// the canonical edge list split SoA (endpoints, weights).
     pub fn write_arena(&self, a: &mut congest::arena::ArenaWriter) {
         a.u64s(&[self.n as u64]);
         let endpoints: Vec<u32> = self.edges.iter().flat_map(|&(a, b, _)| [a, b]).collect();

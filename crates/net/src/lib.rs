@@ -193,9 +193,9 @@ mod tests {
         let (server, registry, g) = serve_ring(8);
         let mut client = Client::connect(server.local_addr()).unwrap();
         let oracle = OracleBuilder::new(Backend::Rtc).build(&g);
-        let mut v2 = Vec::new();
-        oracle.save(&mut v2).unwrap();
-        let summary = client.swap("ring", &v2).unwrap();
+        let mut v3 = Vec::new();
+        oracle.save_v3(&mut v3).unwrap();
+        let summary = client.swap("ring", &v3).unwrap();
         assert_eq!(summary.backend, Backend::Rtc);
         assert_eq!(summary.n, 8);
         assert!(summary.replaced.is_some(), "the flooding snapshot retired");
@@ -214,6 +214,29 @@ mod tests {
         // survives it.
         let err = client.install("ring", "/does/not/exist.snap").unwrap_err();
         assert!(matches!(err, WireError::Remote(_)), "got {err:?}");
+        // Version-1 and version-2 snapshots are refused, inline or from
+        // a file, with an error naming the rebuild; the served
+        // generation is untouched.
+        for version in [1u16, 2] {
+            let mut old = v3.clone();
+            old[4..6].copy_from_slice(&version.to_le_bytes());
+            let err = client.swap("ring", &old).unwrap_err();
+            assert!(
+                matches!(&err, WireError::Remote(m) if m.contains("rebuild")),
+                "got {err:?}"
+            );
+            std::fs::write(&path, &old).unwrap();
+            let err = client.install("ring", path.to_str().unwrap()).unwrap_err();
+            std::fs::remove_file(&path).ok();
+            assert!(
+                matches!(&err, WireError::Remote(m) if m.contains("rebuild")),
+                "got {err:?}"
+            );
+        }
+        assert_eq!(
+            registry.lease("ring").unwrap().generation(),
+            summary2.generation
+        );
         assert_eq!(client.estimate("ring", NodeId(0), NodeId(0)).unwrap(), 0);
         server.shutdown();
     }

@@ -146,7 +146,7 @@ impl DistanceOracle for PdeOracle {
     }
 
     fn size_bits(&self) -> u64 {
-        crate::snapshot::size_bits_of(self)
+        crate::snapshot::size_bits(|a| self.write_arena(a))
     }
 
     fn build_metrics(&self) -> &OracleBuildMetrics {
@@ -235,7 +235,7 @@ impl DistanceOracle for ApsOracle {
     }
 
     fn size_bits(&self) -> u64 {
-        crate::snapshot::size_bits_of(self)
+        crate::snapshot::size_bits(|a| self.write_arena(a))
     }
 
     fn build_metrics(&self) -> &OracleBuildMetrics {
@@ -298,7 +298,7 @@ macro_rules! scheme_oracle {
             }
 
             fn size_bits(&self) -> u64 {
-                crate::snapshot::size_bits_of(self)
+                crate::snapshot::size_bits(|a| self.write_arena(a, false))
             }
 
             fn build_metrics(&self) -> &OracleBuildMetrics {
@@ -371,7 +371,7 @@ impl DistanceOracle for TzOracle {
     }
 
     fn size_bits(&self) -> u64 {
-        crate::snapshot::size_bits_of(self)
+        crate::snapshot::size_bits(|a| self.write_arena(a))
     }
 
     fn build_metrics(&self) -> &OracleBuildMetrics {
@@ -439,7 +439,7 @@ impl DistanceOracle for BfOracle {
     }
 
     fn size_bits(&self) -> u64 {
-        crate::snapshot::size_bits_of(self)
+        crate::snapshot::size_bits(|a| self.write_arena(a))
     }
 
     fn build_metrics(&self) -> &OracleBuildMetrics {
@@ -508,7 +508,7 @@ impl DistanceOracle for FloodOracle {
     }
 
     fn size_bits(&self) -> u64 {
-        crate::snapshot::size_bits_of(self)
+        crate::snapshot::size_bits(|a| self.write_arena(a))
     }
 
     fn build_metrics(&self) -> &OracleBuildMetrics {

@@ -18,17 +18,17 @@
 //!   variant, the advertised [`DistanceOracle::stretch_bound`], the
 //!   serialized artifact size, and build metrics. Every backend's query
 //!   state is flat structure-of-arrays (CSR route rows, dense matrices,
-//!   dense skeleton indexes) — the hot path never hashes and never
-//!   allocates.
+//!   dense skeleton indexes) — the hot path never hashes.
 //! * [`OracleBuilder`] — one builder over every [`Backend`] with
 //!   consistently named knobs (`seed`, `threads`, `eps`, `k`, `horizon`,
 //!   `sigma`, `c`, `l0`), replacing the per-crate
 //!   `PdeParams`/`RtcParams`/`CompactParams` constructors (which remain
 //!   as the underlying implementations).
-//! * [`Oracle::save`] / [`Oracle::load`] — a versioned binary snapshot
-//!   (handwritten little-endian framing, no serde) so an oracle is built
-//!   once and served from disk; reloaded oracles answer queries
-//!   bit-identically (verified by `tests/oracle_matrix.rs`).
+//! * [`Oracle::save_v3`] / [`Oracle::load`] — a versioned binary
+//!   snapshot (an aligned, checksummed arena; handwritten little-endian
+//!   framing, no serde) so an oracle is built once and served from disk;
+//!   reloaded oracles answer queries bit-identically (verified by
+//!   `tests/oracle_matrix.rs`).
 //! * [`evaluate`] — an oracle-generic evaluator with stretch percentiles
 //!   and measured queries/second.
 //!
@@ -41,7 +41,7 @@
 //! let oracle = OracleBuilder::new(Backend::ApproxApsp).eps(0.25).build(&g);
 //! assert!(oracle.estimate(graphs::NodeId(0), graphs::NodeId(2)) >= 5);
 //! let mut bytes = Vec::new();
-//! oracle.save(&mut bytes)?;
+//! oracle.save_v3(&mut bytes)?;
 //! let served = Oracle::load(&mut &bytes[..])?;
 //! assert_eq!(
 //!     served.estimate(graphs::NodeId(0), graphs::NodeId(2)),
@@ -59,6 +59,8 @@ pub mod eval;
 pub mod failover;
 pub mod repair;
 mod snapshot;
+
+pub use snapshot::write_atomic;
 
 use congest::{NodeId, Port};
 use graphs::{Seed, WGraph, INF};
@@ -312,8 +314,11 @@ pub trait DistanceOracle: Sync {
     /// routes (at the finite-ε ceilings validated by the test suite).
     fn stretch_bound(&self) -> f64;
 
-    /// Size of the serialized artifact in bits (what [`Oracle::save`]
-    /// writes) — the "compact" in compact routing, measured end to end.
+    /// Size of the serialized artifact in bits: 8 × the length of what
+    /// [`Oracle::save_v3`] writes — the "compact" in compact routing,
+    /// measured end to end. Backends build the snapshot arena in memory
+    /// to measure it, so this is a reporting call (evaluation, benches),
+    /// not one for a serving path.
     fn size_bits(&self) -> u64;
 
     /// Build metrics.
@@ -628,73 +633,49 @@ impl Oracle {
         self.build_metrics().backend
     }
 
-    /// Writes the versioned binary snapshot of this oracle.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the sink.
-    pub fn save<W: Write>(&self, sink: &mut W) -> io::Result<()> {
-        snapshot::save(self, sink)
-    }
-
-    /// Writes the **version-3** arena snapshot: one 8-byte-aligned
-    /// section directory plus typed sections and a trailing checksum,
-    /// with derived query state (bucket indexes, RTC long-range tables)
-    /// stored instead of rebuilt on load. Loading a v3 snapshot is an
-    /// order of magnitude faster than v2 (see `oracle::snapshot` module
-    /// docs); [`Oracle::load`] accepts both versions.
+    /// Writes the **version-3** arena snapshot — the one snapshot
+    /// format: an 8-byte-aligned section directory plus typed sections
+    /// and a trailing checksum, with derived query state (bucket indexes,
+    /// RTC long-range tables) stored instead of rebuilt on load (see the
+    /// `oracle::snapshot` module docs).
     ///
     /// # Errors
     ///
     /// Propagates I/O errors from the sink.
     pub fn save_v3<W: Write>(&self, sink: &mut W) -> io::Result<()> {
-        snapshot::save_v3(self, sink)
+        snapshot::save(self, sink, false)
     }
 
-    /// Writes the versioned binary snapshot to a file, **atomically**:
-    /// the stream goes to a uniquely named temp file in the target
-    /// directory, is flushed and fsynced, then renamed over `path` (and
-    /// the directory entry fsynced, best effort). A crash mid-write
-    /// leaves either the previous file or the complete new one — never
-    /// a torn snapshot for [`Oracle::load_path`] to choke on. This is
-    /// the counterpart of [`Oracle::load_path`] and the only way the
-    /// serving stack writes snapshots to disk.
+    /// Writes the snapshot to a file, **atomically** (see
+    /// [`write_atomic`]): a crash mid-write leaves either the previous
+    /// file or the complete new one — never a torn snapshot for
+    /// [`Oracle::load_path`] to choke on. This is the counterpart of
+    /// [`Oracle::load_path`].
     ///
     /// # Errors
     ///
     /// Propagates I/O errors; the temp file is removed on failure.
-    pub fn save_path(&self, path: &std::path::Path) -> io::Result<()> {
-        snapshot::save_path_atomic(path, |sink| snapshot::save(self, sink))
-    }
-
-    /// Writes the **version-3** arena snapshot to a file with the same
-    /// atomic temp + fsync + rename discipline as [`Oracle::save_path`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Oracle::save_path`].
     pub fn save_path_v3(&self, path: &std::path::Path) -> io::Result<()> {
-        snapshot::save_path_atomic(path, |sink| snapshot::save_v3(self, sink))
+        write_atomic(path, |sink| snapshot::save(self, sink, false))
     }
 
-    /// Loads an oracle from a snapshot written by [`Oracle::save`] or
-    /// [`Oracle::save_v3`] (the version is auto-detected; version-1
-    /// snapshots are rejected with a pointer to rebuild).
+    /// Loads an oracle from a snapshot written by [`Oracle::save_v3`].
     ///
     /// # Errors
     ///
     /// Returns `InvalidData` on bad magic/version/backend bytes or any
-    /// malformed payload; truncated inputs wrap
+    /// malformed payload — a version-1 or version-2 snapshot names the
+    /// rebuild it needs; truncated inputs wrap
     /// [`congest::wire::SnapshotError::Truncated`] (test with
     /// [`congest::wire::is_truncated`]).
     pub fn load<R: Read>(source: &mut R) -> io::Result<Oracle> {
         snapshot::load(source)
     }
 
-    /// Loads an oracle from an in-memory snapshot buffer (any supported
-    /// version). The bytes are copied once into an owned buffer so a v3
-    /// oracle can keep views into them; callers already holding the
-    /// snapshot as a [`congest::arena::SharedBytes`] should prefer
+    /// Loads an oracle from an in-memory snapshot buffer. The bytes are
+    /// copied once into an owned buffer so the oracle can keep views into
+    /// them; callers already holding the snapshot as a
+    /// [`congest::arena::SharedBytes`] should prefer
     /// [`Oracle::load_shared`], which skips that copy.
     ///
     /// # Errors
@@ -704,11 +685,10 @@ impl Oracle {
         snapshot::load_bytes(buf)
     }
 
-    /// Loads an oracle from a shared in-memory snapshot buffer (any
-    /// supported version). For v3 buffers this is the **zero-copy** fast
-    /// path: after one checksum pass, the oracle's large tables are views
-    /// into `bytes` — cloning the handle and loading again shares the
-    /// same underlying allocation.
+    /// Loads an oracle from a shared in-memory snapshot buffer — the
+    /// **zero-copy** path: after one checksum pass, the oracle's large
+    /// tables are views into `bytes`; cloning the handle and loading
+    /// again shares the same underlying allocation.
     ///
     /// # Errors
     ///
@@ -719,7 +699,7 @@ impl Oracle {
 
     /// Loads an oracle from a snapshot file: the file is read **once**
     /// into a [`congest::arena::SharedBytes`] buffer and decoded through
-    /// [`Oracle::load_shared`], so a v3 snapshot is served as zero-copy
+    /// [`Oracle::load_shared`], so the snapshot is served as zero-copy
     /// views into that single read — the cold-start path from disk pays
     /// no second copy (unlike `fs::read` + [`Oracle::load_bytes`], which
     /// would copy the payload again). `serve::OracleServer::install_path`
@@ -732,16 +712,18 @@ impl Oracle {
         Oracle::load_shared(congest::arena::SharedBytes::from_vec(std::fs::read(path)?))
     }
 
-    /// The **canonical artifact bytes**: the [`Oracle::save`] stream with
-    /// every volatile measurement field (CONGEST rounds, messages, build
-    /// wall-clock) written as zero. This is the build-identity witness:
-    /// for the same graph, seed and knobs, simulated and native builds —
-    /// at any thread count — produce identical canonical bytes (asserted
-    /// by `tests/build_parity.rs` and `experiments -- builds --smoke`).
-    /// The returned stream is itself a loadable snapshot.
+    /// The **canonical artifact bytes**: the [`Oracle::save_v3`] snapshot
+    /// with every volatile measurement field (the header's CONGEST
+    /// rounds, messages and build wall-clock, and every round total the
+    /// distributed schemes embed) written as zero. This is the
+    /// build-identity witness: for the same graph, seed and knobs,
+    /// simulated and native builds — at any thread count — produce
+    /// identical canonical bytes (asserted by `tests/build_parity.rs` and
+    /// `experiments -- builds --smoke`). The returned bytes are
+    /// themselves a loadable snapshot.
     pub fn artifact_bytes(&self) -> Vec<u8> {
         let mut bytes = Vec::new();
-        snapshot::save_canonical(self, &mut bytes).expect("writing to a Vec cannot fail");
+        snapshot::save(self, &mut bytes, true).expect("writing to a Vec cannot fail");
         bytes
     }
 

@@ -186,8 +186,8 @@ pub struct RtcScheme {
     /// `min_t (wd'_S(x, t) + d_spanner(t, s_j))` — everything of the
     /// skeleton option except the destination's `dist_home`, which is a
     /// per-destination constant and therefore cannot change the argmin.
-    /// Stored in v3 snapshots, recomputed on v2 loads; [`graphs::INF`]
-    /// when no entry point reaches `s_j`.
+    /// Stored in snapshots, so a load does not recompute it;
+    /// [`graphs::INF`] when no entry point reaches `s_j`.
     pub(crate) long_dist: U64View,
     /// `long_hop[x·|S|+j]`: the next-hop node realizing `long_dist`,
     /// under the same `(total, hop)` tie-break the per-query loop used

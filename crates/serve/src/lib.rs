@@ -14,11 +14,11 @@
 //!   hot swap never interrupts a query — readers drain off the old
 //!   generation at their own pace (pinned by the `hot_swap_*` tests).
 //! * [`OracleServer::install_shared`] — the cold-start path: decode a
-//!   snapshot (v2 or v3, auto-detected via [`oracle::Oracle::load_shared`]),
-//!   install it, and answer one probe query, reporting the measured
-//!   bytes-to-first-answer time. A v3 snapshot is served as zero-copy
-//!   views into the handed-over buffer. This is the number the v3 arena
-//!   layout exists to shrink (see `BENCH_oracle.json`).
+//!   snapshot (via [`oracle::Oracle::load_shared`]), install it, and
+//!   answer one probe query, reporting the measured bytes-to-first-answer
+//!   time. The snapshot is served as zero-copy views into the
+//!   handed-over buffer. This is the number the arena snapshot layout
+//!   exists to shrink (see `BENCH_oracle.json`).
 //!   [`OracleServer::install_from_bytes`] is the borrowed-slice variant
 //!   (one defensive copy).
 //! * [`Batcher`] — admission batching for one served name: concurrent
@@ -263,9 +263,9 @@ impl OracleServer {
         (generation, replaced)
     }
 
-    /// Decodes a snapshot buffer (v2 or v3, auto-detected), installs it
-    /// under `name`, answers one probe query, and reports the measured
-    /// cold-start-to-first-answer time.
+    /// Decodes a snapshot buffer, installs it under `name`, answers one
+    /// probe query, and reports the measured cold-start-to-first-answer
+    /// time.
     ///
     /// # Errors
     ///
@@ -277,7 +277,7 @@ impl OracleServer {
 
     /// [`OracleServer::install_from_bytes`] without the defensive copy:
     /// the caller hands over a [`congest::arena::SharedBytes`] handle, and
-    /// a v3 snapshot is served as views straight into that buffer — the
+    /// the snapshot is served as views straight into that buffer — the
     /// zero-copy cold-start path the serving benchmark measures.
     ///
     /// # Errors
@@ -760,13 +760,14 @@ pub struct RepairSwapReport {
     pub stale_window_nanos: u64,
 }
 
+/// What routes read. Locked only briefly (mask and graph reads, the
+/// final install), never across a repair or an fsync.
 struct DynState {
-    graph: WGraph,
+    /// Shared so a repair or checkpoint can read it without holding the
+    /// lock; replaced, never mutated, and only under the writer lock.
+    graph: Arc<WGraph>,
     mask: LivenessMask,
     masked_at: Option<Instant>,
-    /// Present on persistent handles: every applied repair is appended
-    /// here *before* the swapped snapshot becomes visible.
-    wal: Option<DeltaWal>,
 }
 
 /// The failure-aware lifecycle over one served name.
@@ -794,6 +795,12 @@ pub struct DynamicOracle {
     builder: OracleBuilder,
     /// Present on persistent handles: where checkpoints are written.
     ckpt_path: Option<std::path::PathBuf>,
+    /// The writer lock: serializes repairs and checkpoints and owns the
+    /// WAL (present on persistent handles; every applied repair is
+    /// appended to it *before* the swapped snapshot becomes visible).
+    /// Held across the slow work so [`DynState`] need not be. Lock order:
+    /// writer, then state.
+    writer: Mutex<Option<DeltaWal>>,
     state: Mutex<DynState>,
 }
 
@@ -813,17 +820,7 @@ impl DynamicOracle {
     ) -> Result<Self, BuildError> {
         let oracle = builder.try_build(g)?;
         server.install(name, oracle);
-        Ok(DynamicOracle {
-            name: name.to_string(),
-            builder,
-            ckpt_path: None,
-            state: Mutex::new(DynState {
-                graph: g.clone(),
-                mask: LivenessMask::new(g.len()),
-                masked_at: None,
-                wal: None,
-            }),
-        })
+        Ok(DynamicOracle::new(name, builder, None, g.clone(), None))
     }
 
     /// [`DynamicOracle::install`] with crash-safe persistence: writes a
@@ -851,17 +848,13 @@ impl DynamicOracle {
         persist::write_checkpoint(&ckpt_path, 1, g, &oracle)?;
         let wal = DeltaWal::create(&wal_path, 1)?;
         server.install(name, oracle);
-        Ok(DynamicOracle {
-            name: name.to_string(),
+        Ok(DynamicOracle::new(
+            name,
             builder,
-            ckpt_path: Some(ckpt_path),
-            state: Mutex::new(DynState {
-                graph: g.clone(),
-                mask: LivenessMask::new(g.len()),
-                masked_at: None,
-                wal: Some(wal),
-            }),
-        })
+            Some(ckpt_path),
+            g.clone(),
+            Some(wal),
+        ))
     }
 
     /// Rebuilds the persisted state from `dir` after a crash or
@@ -914,17 +907,7 @@ impl DynamicOracle {
         }
         let replay_nanos = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
         let (generation, _) = server.install(name, oracle);
-        let handle = DynamicOracle {
-            name: name.to_string(),
-            builder,
-            ckpt_path: Some(ckpt_path),
-            state: Mutex::new(DynState {
-                mask: LivenessMask::new(graph.len()),
-                graph,
-                masked_at: None,
-                wal: Some(wal),
-            }),
-        };
+        let handle = DynamicOracle::new(name, builder, Some(ckpt_path), graph, Some(wal));
         Ok((
             handle,
             RecoverReport {
@@ -953,25 +936,48 @@ impl DynamicOracle {
     /// name is no longer served; [`PersistError::Io`] when a file
     /// operation fails.
     pub fn checkpoint(&self, server: &OracleServer) -> Result<u64, PersistError> {
-        let mut state = lock_recover(&self.state);
+        // Graph and served snapshot only change under the writer lock, so
+        // the pair read here is consistent without holding `state`.
+        let mut wal = lock_recover(&self.writer);
         let ckpt_path = self.ckpt_path.as_ref().ok_or(PersistError::NotPersistent)?;
+        let wal = wal.as_mut().ok_or(PersistError::NotPersistent)?;
         let lease = server
             .lease(&self.name)
             .ok_or_else(|| ServeError::UnknownOracle(self.name.clone()))?;
-        let wal = state.wal.as_ref().ok_or(PersistError::NotPersistent)?;
+        let graph = Arc::clone(&lock_recover(&self.state).graph);
         let folded = wal.records();
         let epoch = wal.epoch() + 1;
-        persist::write_checkpoint(ckpt_path, epoch, &state.graph, lease.oracle())?;
-        state.wal.as_mut().expect("checked above").reset(epoch)?;
+        persist::write_checkpoint(ckpt_path, epoch, &graph, lease.oracle())?;
+        wal.reset(epoch)?;
         Ok(folded)
     }
 
-    /// Deltas currently in the WAL (0 for a non-persistent handle).
+    /// Deltas currently in the WAL (0 for a non-persistent handle). Waits
+    /// for a running repair or checkpoint.
     pub fn wal_records(&self) -> u64 {
-        lock_recover(&self.state)
-            .wal
+        lock_recover(&self.writer)
             .as_ref()
             .map_or(0, DeltaWal::records)
+    }
+
+    fn new(
+        name: &str,
+        builder: OracleBuilder,
+        ckpt_path: Option<std::path::PathBuf>,
+        graph: WGraph,
+        wal: Option<DeltaWal>,
+    ) -> Self {
+        DynamicOracle {
+            name: name.to_string(),
+            builder,
+            ckpt_path,
+            writer: Mutex::new(wal),
+            state: Mutex::new(DynState {
+                mask: LivenessMask::new(graph.len()),
+                graph: Arc::new(graph),
+                masked_at: None,
+            }),
+        }
     }
 
     /// The served name this lifecycle manages.
@@ -981,20 +987,12 @@ impl DynamicOracle {
 
     /// The graph the currently served snapshot was built on.
     pub fn graph(&self) -> WGraph {
-        self.state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .graph
-            .clone()
+        lock_recover(&self.state).graph.as_ref().clone()
     }
 
     /// A snapshot of the current liveness mask.
     pub fn mask(&self) -> LivenessMask {
-        self.state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .mask
-            .clone()
+        lock_recover(&self.state).mask.clone()
     }
 
     /// Masks edge `{u, v}` as failed, effective immediately for
@@ -1042,10 +1040,14 @@ impl DynamicOracle {
     /// hot-swaps the result in.
     ///
     /// Failure deltas are masked first (idempotent if the caller already
-    /// did), so routing detours even while the repair runs. The repair
-    /// itself works on a lease — in-flight queries drain off the old
-    /// generation undisturbed — and the swap goes through
-    /// [`OracleServer::install`]. Afterwards the mask entry the artifact
+    /// did), so routing detours even while the repair runs: the repair
+    /// and the WAL append hold only the writer lock (repairs and
+    /// checkpoints are serialized), and the routing state is locked again
+    /// only for the install itself. The repair works on a lease —
+    /// in-flight queries drain off the old generation undisturbed — and
+    /// the swap goes through [`OracleServer::install`] together with the
+    /// mask update, so a route never pairs the new artifact with a mask
+    /// from the old id space. Afterwards the mask entry the artifact
     /// now covers is lifted (a node failure resets the mask: the id
     /// space was renumbered), and the report carries the repair cost
     /// plus the measured stale-answer window.
@@ -1062,35 +1064,40 @@ impl DynamicOracle {
         delta: &GraphDelta,
     ) -> Result<RepairSwapReport, RepairSwapError> {
         let t0 = Instant::now();
-        let mut state = lock_recover(&self.state);
-        match *delta {
-            GraphDelta::FailEdge { u, v } => {
-                state.mask.fail_edge(u, v);
-                state.masked_at.get_or_insert(t0);
+        let mut wal = lock_recover(&self.writer);
+        let graph = {
+            let mut state = lock_recover(&self.state);
+            match *delta {
+                GraphDelta::FailEdge { u, v } => {
+                    state.mask.fail_edge(u, v);
+                    state.masked_at.get_or_insert(t0);
+                }
+                GraphDelta::FailNode { v } => {
+                    state.mask.fail_node(v);
+                    state.masked_at.get_or_insert(t0);
+                }
+                GraphDelta::SetWeight { .. } => {}
             }
-            GraphDelta::FailNode { v } => {
-                state.mask.fail_node(v);
-                state.masked_at.get_or_insert(t0);
-            }
-            GraphDelta::SetWeight { .. } => {}
-        }
+            Arc::clone(&state.graph)
+        };
         let lease = server
             .lease(&self.name)
             .ok_or_else(|| ServeError::UnknownOracle(self.name.clone()))?;
-        let repaired = self.builder.repair(&state.graph, lease.oracle(), delta)?;
+        let repaired = self.builder.repair(&graph, lease.oracle(), delta)?;
         drop(lease);
         // Durability before visibility: on a persistent handle the
         // delta must hit the WAL before the repaired snapshot is
         // installed, or a crash right after the swap would serve
         // answers that recovery cannot reproduce.
-        if let Some(wal) = state.wal.as_mut() {
+        if let Some(wal) = wal.as_mut() {
             wal.append(delta)
                 .map_err(|e| RepairSwapError::Persist(e.to_string()))?;
         }
+        let mut state = lock_recover(&self.state);
         let (generation, replaced) = server.install(&self.name, repaired.oracle);
         let window = state.masked_at.unwrap_or(t0).elapsed();
         let stale_window_nanos = u64::try_from(window.as_nanos()).unwrap_or(u64::MAX);
-        state.graph = repaired.graph;
+        state.graph = Arc::new(repaired.graph);
         match *delta {
             GraphDelta::FailEdge { u, v } => state.mask.revive_edge(u, v),
             // Node failure renumbered the id space; stale masked ids
@@ -1182,24 +1189,29 @@ mod tests {
     }
 
     #[test]
-    fn install_from_bytes_reports_cold_start_for_both_versions() {
+    fn install_from_bytes_reports_cold_start_and_rejects_old_versions() {
         let oracle = build(&ring(10, 3));
-        let mut v2 = Vec::new();
-        oracle.save(&mut v2).unwrap();
         let mut v3 = Vec::new();
         oracle.save_v3(&mut v3).unwrap();
         let server = OracleServer::new();
-        for (name, bytes) in [("v2", &v2), ("v3", &v3)] {
-            let report = server.install_from_bytes(name, bytes).unwrap();
-            assert_eq!(report.backend, Backend::Flooding);
-            assert_eq!(report.n, 10);
-            assert!(report.cold_start_nanos > 0);
-            assert!(report.replaced.is_none());
-            let mut out = Vec::new();
-            server
-                .query(name, &[(NodeId(0), NodeId(5))], &mut out, 1)
-                .unwrap();
-            assert_eq!(out, vec![15]);
+        let report = server.install_from_bytes("v3", &v3).unwrap();
+        assert_eq!(report.backend, Backend::Flooding);
+        assert_eq!(report.n, 10);
+        assert!(report.cold_start_nanos > 0);
+        assert!(report.replaced.is_none());
+        let mut out = Vec::new();
+        server
+            .query("v3", &[(NodeId(0), NodeId(5))], &mut out, 1)
+            .unwrap();
+        assert_eq!(out, vec![15]);
+        // Version-1 and version-2 headers name the rebuild.
+        for version in [1u16, 2] {
+            let mut old = v3.clone();
+            old[4..6].copy_from_slice(&version.to_le_bytes());
+            let err = server.install_from_bytes("old", &old).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            assert!(err.to_string().contains("rebuild"), "{err}");
+            assert!(server.lease("old").is_none());
         }
         let err = server
             .install_from_bytes("bad", &v3[..v3.len() - 3])

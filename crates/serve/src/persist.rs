@@ -409,8 +409,9 @@ pub struct Checkpoint {
     pub oracle: Oracle,
 }
 
-/// Atomically writes a checkpoint (temp file + fsync + rename): a
-/// crash mid-write leaves the previous checkpoint intact.
+/// Atomically writes a checkpoint through [`oracle::write_atomic`]
+/// (temp file + fsync + rename): a crash mid-write leaves the previous
+/// checkpoint intact.
 ///
 /// # Errors
 ///
@@ -423,41 +424,13 @@ pub fn write_checkpoint(
 ) -> io::Result<()> {
     let mut snap = Vec::new();
     oracle.save_v3(&mut snap)?;
-    let file_name = path.file_name().ok_or_else(|| {
-        invalid_data(format!(
-            "checkpoint path {} has no file name",
-            path.display()
-        ))
-    })?;
-    let dir = match path.parent() {
-        Some(p) if !p.as_os_str().is_empty() => p.to_path_buf(),
-        _ => PathBuf::from("."),
-    };
-    let tmp = dir.join(format!(
-        ".{}.tmp.{}",
-        file_name.to_string_lossy(),
-        std::process::id()
-    ));
-    let result = (|| {
-        let mut sink = io::BufWriter::new(File::create(&tmp)?);
-        write_header(&mut sink, CKPT_MAGIC, epoch)?;
-        graph.write_into(&mut sink)?;
-        let mut w = WireWriter::new(&mut sink);
+    oracle::write_atomic(path, |sink| {
+        write_header(sink, CKPT_MAGIC, epoch)?;
+        graph.write_into(sink)?;
+        let mut w = WireWriter::new(sink);
         w.u64(snap.len() as u64)?;
-        w.bytes(&snap)?;
-        let file = sink.into_inner().map_err(|e| e.into_error())?;
-        file.sync_all()?;
-        drop(file);
-        std::fs::rename(&tmp, path)?;
-        if let Ok(d) = File::open(&dir) {
-            let _ = d.sync_all();
-        }
-        Ok(())
-    })();
-    if result.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    result
+        w.bytes(&snap)
+    })
 }
 
 /// Reads a checkpoint back.

@@ -226,6 +226,31 @@ impl TreeSet {
         Ok(set)
     }
 
+    /// Serializes a sequence of sets: a length prefix, then each set's
+    /// [`TreeSet::write_into`] stream (per-level tree sets of the
+    /// hierarchies).
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O errors from the sink.
+    pub fn write_seq_into(sets: &[TreeSet], sink: &mut dyn std::io::Write) -> std::io::Result<()> {
+        congest::wire::WireWriter::new(sink).len(sets.len())?;
+        for set in sets {
+            set.write_into(sink)?;
+        }
+        Ok(())
+    }
+
+    /// Deserializes what [`TreeSet::write_seq_into`] wrote.
+    ///
+    /// # Errors
+    ///
+    /// As [`TreeSet::read_from`].
+    pub fn read_seq_from(source: &mut dyn std::io::Read) -> std::io::Result<Vec<TreeSet>> {
+        let count = congest::wire::WireReader::new(source).len64(congest::wire::MAX_SEQ_LEN)?;
+        (0..count).map(|_| TreeSet::read_from(source)).collect()
+    }
+
     /// Trees containing `v`, as `(root, depth_of_v)` pairs.
     pub fn memberships(&self, v: NodeId) -> Vec<(NodeId, u32)> {
         self.trees

@@ -80,7 +80,7 @@ pub fn demo() -> Result<(), Box<dyn std::error::Error>> {
     // 4. Build once, serve from disk: the snapshot round-trips with
     //    bit-identical answers.
     let mut bytes = Vec::new();
-    apsp.save(&mut bytes)?;
+    apsp.save_v3(&mut bytes)?;
     let served = Oracle::load(&mut &bytes[..])?;
     assert_eq!(
         served.estimate(NodeId(2), NodeId(0)),

@@ -7,7 +7,7 @@
 //! Property-tested over random graph families (G(n,p), Barabási–Albert,
 //! ring of cliques, hypercube), weight ranges, and seeds; threads ∈
 //! {1, 4}. The canonical artifact bytes ([`Oracle::artifact_bytes`]) are
-//! the `save` stream with volatile measurement fields zeroed, so the
+//! the `save_v3` snapshot with volatile measurement fields zeroed, so the
 //! comparison covers the full serialized query state: topology, labels,
 //! flat route tables, trees, spanner/skeleton matrices.
 
@@ -110,8 +110,9 @@ proptest! {
     }
 }
 
-/// The canonical artifact stream is itself a loadable snapshot that
-/// answers identically (metrics read back as zeros).
+/// The canonical artifact bytes are themselves a loadable snapshot that
+/// answers identically (metrics read back as zeros) and re-saves to the
+/// same bytes.
 #[test]
 fn canonical_artifact_bytes_are_loadable() {
     let g = build_graph(0, 20, 1, 7);
@@ -121,6 +122,12 @@ fn canonical_artifact_bytes_are_loadable() {
         let bytes = oracle.artifact_bytes();
         let loaded = Oracle::load(&mut &bytes[..]).expect("canonical bytes load");
         assert_eq!(loaded.build_metrics().rounds, 0, "{backend}");
+        let mut resaved = Vec::new();
+        loaded.save_v3(&mut resaved).unwrap();
+        assert_eq!(
+            resaved, bytes,
+            "{backend}: canonical bytes are not a fixpoint"
+        );
         let (mut a, mut b) = (Vec::new(), Vec::new());
         oracle.estimate_many(&pairs, &mut a);
         loaded.estimate_many(&pairs, &mut b);

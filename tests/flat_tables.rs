@@ -3,13 +3,31 @@
 //! [`PairTable`] lookups must agree with a `HashMap` model across random
 //! probes — including misses and out-of-range keys — and [`FlatTables`]
 //! lookups with a per-node `HashMap` model, with byte-identical
-//! round-trips through the wire codecs.
+//! round-trips through the snapshot arena.
 
+use pde_repro::congest::arena::{ArenaCursor, ArenaReader, ArenaWriter, SharedBytes};
 use pde_repro::graphs::NodeId;
 use pde_repro::pde_core::tables::{FlatTables, PairTable};
 use pde_repro::pde_core::{RouteInfo, RouteTable};
 use proptest::prelude::*;
 use std::collections::HashMap;
+
+/// Writes one table into an arena and reads it back, returning the
+/// container bytes and the decoded table.
+fn arena_round_trip<T>(
+    write: impl Fn(&mut ArenaWriter),
+    read: impl Fn(&mut ArenaCursor<'_>) -> std::io::Result<T>,
+) -> (Vec<u8>, T) {
+    let mut a = ArenaWriter::new();
+    write(&mut a);
+    let mut buf = Vec::new();
+    a.finish(&mut buf).unwrap();
+    let r = ArenaReader::parse(SharedBytes::from_vec(buf.clone())).unwrap();
+    let mut c = r.cursor();
+    let back = read(&mut c).unwrap();
+    c.expect_end().unwrap();
+    (buf, back)
+}
 
 /// A generated case: side length `k`, unique in-range pair entries, and
 /// probe keys (deliberately allowed to fall outside `k`, which must
@@ -70,18 +88,15 @@ proptest! {
         }
     }
 
-    /// Both representations round-trip through the wire codec
+    /// Both representations round-trip through the snapshot arena
     /// byte-identically, preserving the representation tag.
     #[test]
     fn pair_table_round_trips_byte_identically(case in pair_entries()) {
         let (k, entries, _probes) = case;
         for table in [PairTable::dense(k, &entries), PairTable::csr(k, &entries)] {
-            let mut buf = Vec::new();
-            table.write_into(&mut buf).unwrap();
-            let back = PairTable::read_from(&mut &buf[..]).unwrap();
+            let (buf, back) = arena_round_trip(|a| table.write_arena(a), PairTable::read_arena);
             prop_assert_eq!(&table, &back);
-            let mut buf2 = Vec::new();
-            back.write_into(&mut buf2).unwrap();
+            let (buf2, _) = arena_round_trip(|a| back.write_arena(a), PairTable::read_arena);
             prop_assert_eq!(buf, buf2);
             // Iteration agrees with construction.
             let got: Vec<(u32, u32, u64)> = table.iter().collect();
@@ -127,12 +142,9 @@ proptest! {
             prop_assert!(row.windows(2).all(|w| w[0].src < w[1].src));
         }
         // Byte-identical codec round-trip.
-        let mut buf = Vec::new();
-        flat.write_into(&mut buf).unwrap();
-        let back = FlatTables::read_from(&mut &buf[..]).unwrap();
+        let (buf, back) = arena_round_trip(|a| flat.write_arena(a), FlatTables::read_arena);
         prop_assert_eq!(&flat, &back);
-        let mut buf2 = Vec::new();
-        back.write_into(&mut buf2).unwrap();
+        let (buf2, _) = arena_round_trip(|a| back.write_arena(a), FlatTables::read_arena);
         prop_assert_eq!(buf, buf2);
     }
 }

@@ -2,12 +2,16 @@
 //! seeded random graphs (a) answers `estimate`/`estimate_many` through the
 //! `DistanceOracle` trait, (b) satisfies its advertised `stretch_bound()`
 //! against `graphs::algo::apsp` ground truth, and (c) round-trips through
-//! `save`/`load` with bit-identical answers on 1k random queries.
+//! `save_v3`/`load` with bit-identical answers on 1k random queries and
+//! byte-identical re-saves.
 
+use pde_repro::congest::arena::SharedBytes;
 use pde_repro::graphs::algo::apsp;
 use pde_repro::graphs::gen::{self, Weights};
 use pde_repro::graphs::{NodeId, Seed, WGraph};
-use pde_repro::oracle::{evaluate, Backend, DistanceOracle, Oracle, OracleBuilder, PairSelection};
+use pde_repro::oracle::{
+    evaluate, Backend, BuildMode, DistanceOracle, Oracle, OracleBuilder, PairSelection,
+};
 
 fn graph(seed: u64) -> WGraph {
     let mut rng = Seed(seed).rng();
@@ -143,22 +147,21 @@ fn save_load_round_trips_bit_identically_on_1k_random_queries() {
     for backend in Backend::ALL {
         let oracle = build(backend, &g, 13);
         let mut bytes = Vec::new();
-        oracle.save(&mut bytes).expect("save succeeds");
-        assert_eq!(
-            oracle.size_bits(),
-            8 * bytes.len() as u64,
-            "{backend}: size_bits must equal the serialized artifact size"
-        );
+        oracle.save_v3(&mut bytes).expect("save succeeds");
         let loaded = Oracle::load(&mut &bytes[..]).expect("load succeeds");
         assert_eq!(loaded.backend(), backend);
         assert_eq!(loaded.len(), oracle.len());
 
-        // Bit-identical point, batch and routing answers.
+        // Bit-identical point, batch and routing answers, through the
+        // streaming and the in-memory entry points alike.
         let mut a = Vec::new();
         let mut b = Vec::new();
         oracle.estimate_many(&queries, &mut a);
         loaded.estimate_many(&queries, &mut b);
         assert_eq!(a, b, "{backend}: batch answers diverge after reload");
+        let from_buf = Oracle::load_bytes(&bytes).expect("load_bytes succeeds");
+        from_buf.estimate_many(&queries, &mut b);
+        assert_eq!(a, b, "{backend}: load_bytes answers diverge");
         for &(u, v) in &queries {
             assert_eq!(
                 oracle.estimate(u, v),
@@ -184,91 +187,47 @@ fn save_load_round_trips_bit_identically_on_1k_random_queries() {
             "{backend}"
         );
         assert_eq!(oracle.stretch_bound(), loaded.stretch_bound(), "{backend}");
-
-        // Re-saving the loaded oracle reproduces the byte stream.
-        let mut bytes2 = Vec::new();
-        loaded.save(&mut bytes2).expect("re-save succeeds");
-        assert_eq!(bytes, bytes2, "{backend}: snapshot is not canonical");
     }
 }
 
 #[test]
-fn v3_snapshots_round_trip_and_answer_identically_to_v2() {
-    // The v2 ↔ v3 cross-version matrix: for every backend, the arena
-    // snapshot must (a) load back, (b) re-save byte-identically, and
-    // (c) answer point, batch and routing queries bit-identically to the
-    // oracle loaded from the v2 stream of the same build.
-    let g = graph(4);
-    use rand::Rng;
-    let mut rng = Seed(0xDEC0DE).rng();
-    let n = g.len() as u32;
-    let queries: Vec<(NodeId, NodeId)> = (0..1000)
-        .map(|_| {
-            (
-                NodeId(rng.random_range(0..n)),
-                NodeId(rng.random_range(0..n)),
-            )
-        })
-        .collect();
-    for backend in Backend::ALL {
-        let oracle = build(backend, &g, 13);
-        let mut v2 = Vec::new();
-        oracle.save(&mut v2).expect("v2 save succeeds");
-        let mut v3 = Vec::new();
-        oracle.save_v3(&mut v3).expect("v3 save succeeds");
-        assert_ne!(v2, v3, "{backend}: versions share a byte stream?");
-
-        let from_v2 = Oracle::load(&mut &v2[..]).expect("v2 load succeeds");
-        let from_v3 = Oracle::load(&mut &v3[..]).expect("v3 load succeeds");
-        assert_eq!(from_v3.backend(), backend);
-        assert_eq!(from_v3.len(), oracle.len());
-
-        // Re-saving the v3-loaded oracle reproduces the arena stream.
-        let mut v3_again = Vec::new();
-        from_v3.save_v3(&mut v3_again).expect("re-save succeeds");
-        assert_eq!(v3, v3_again, "{backend}: v3 snapshot is not canonical");
-        // And it can still emit a v2 stream identical to the original.
-        let mut v2_again = Vec::new();
-        from_v3.save(&mut v2_again).expect("v2 re-save succeeds");
-        assert_eq!(v2, v2_again, "{backend}: v3 load lost v2 state");
-
-        // The in-memory fast path agrees with the streaming path.
-        let from_buf = Oracle::load_bytes(&v3).expect("load_bytes succeeds");
-
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        from_v2.estimate_many(&queries, &mut a);
-        from_v3.estimate_many(&queries, &mut b);
-        assert_eq!(a, b, "{backend}: v3 batch answers diverge from v2");
-        from_buf.estimate_many(&queries, &mut b);
-        assert_eq!(a, b, "{backend}: load_bytes answers diverge");
-        for &(u, v) in &queries {
-            assert_eq!(
-                from_v2.estimate(u, v),
-                from_v3.estimate(u, v),
-                "{backend} ({u},{v})"
-            );
-            assert_eq!(
-                from_v2.next_hop(u, v),
-                from_v3.next_hop(u, v),
-                "{backend} ({u},{v})"
-            );
-            assert_eq!(
-                from_v2.route(u, v),
-                from_v3.route(u, v),
-                "{backend} ({u},{v})"
-            );
+fn snapshots_resave_byte_identically_and_size_bits_is_their_length() {
+    // For every backend, graph and build mode: a loaded snapshot re-saves
+    // to the same bytes (whichever entry point loaded it), and
+    // `size_bits` is exactly 8 × the snapshot length.
+    for graph_seed in [1u64, 2, 3, 4] {
+        let g = graph(graph_seed);
+        for backend in Backend::ALL {
+            for mode in [BuildMode::Native, BuildMode::Simulated] {
+                let oracle = OracleBuilder::new(backend)
+                    .seed(7 + graph_seed)
+                    .k(2)
+                    .build_mode(mode)
+                    .build(&g);
+                let mut bytes = Vec::new();
+                oracle.save_v3(&mut bytes).expect("save succeeds");
+                assert_eq!(
+                    oracle.size_bits(),
+                    8 * bytes.len() as u64,
+                    "{backend} {mode:?} (graph {graph_seed}): size_bits is not the snapshot size"
+                );
+                let reloaded = [
+                    Oracle::load(&mut &bytes[..]).expect("load succeeds"),
+                    Oracle::load_bytes(&bytes).expect("load_bytes succeeds"),
+                    Oracle::load_shared(SharedBytes::from_vec(bytes.clone()))
+                        .expect("load_shared succeeds"),
+                ];
+                for loaded in reloaded {
+                    let mut again = Vec::new();
+                    loaded.save_v3(&mut again).expect("re-save succeeds");
+                    assert_eq!(
+                        bytes, again,
+                        "{backend} {mode:?} (graph {graph_seed}): snapshot is not canonical"
+                    );
+                    assert_eq!(loaded.size_bits(), oracle.size_bits(), "{backend}");
+                }
+            }
         }
-        assert_eq!(
-            from_v2.build_metrics().rounds,
-            from_v3.build_metrics().rounds,
-            "{backend}"
-        );
-        assert_eq!(
-            from_v2.stretch_bound(),
-            from_v3.stretch_bound(),
-            "{backend}"
-        );
     }
 }
 
@@ -289,7 +248,7 @@ fn corrupted_snapshots_are_rejected() {
     let g = graph(5);
     let oracle = build(Backend::ApproxApsp, &g, 1);
     let mut bytes = Vec::new();
-    oracle.save(&mut bytes).unwrap();
+    oracle.save_v3(&mut bytes).unwrap();
     // Bad magic.
     let mut bad = bytes.clone();
     bad[0] ^= 0xFF;
@@ -303,13 +262,15 @@ fn corrupted_snapshots_are_rejected() {
     assert!(Oracle::load(&mut &half[..]).is_err());
     // Tampered node count: a snapshot claiming an absurd n must come back
     // as InvalidData, not abort on a huge allocation. The BellmanFord
-    // payload starts with its u64 node count right after the 39-byte
-    // header.
+    // payload's first arena section is its u64 node count, right after
+    // the 40-byte header and the 2-section directory.
     let bf = build(Backend::BellmanFord, &g, 1);
     let mut bytes = Vec::new();
-    bf.save(&mut bytes).unwrap();
-    bytes[39..47].copy_from_slice(&u64::MAX.to_le_bytes());
-    assert!(Oracle::load(&mut &bytes[..]).is_err());
+    bf.save_v3(&mut bytes).unwrap();
+    let at = 40 + 8 + 16 * 2;
+    bytes[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+    let err = Oracle::load(&mut &bytes[..]).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
 }
 
 #[test]
